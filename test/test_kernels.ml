@@ -3,7 +3,9 @@
    results — max_err bits, synopsis, dp_states — to the original
    tuple-keyed Hashtbl kernels, across random signals, budgets,
    metrics, split strategies, the dense and spill layouts, and pool
-   sizes 1 and 4. Plus the grain knob of the pool fan-out. *)
+   sizes 1 and 4. For Minmax_dp also the [on_state] contract and the
+   flat kernel's allocation profile. Plus the grain knob of the pool
+   fan-out. *)
 
 module Pool = Wavesyn_par.Pool
 module Minmax_dp = Wavesyn_core.Minmax_dp
@@ -16,6 +18,7 @@ module Ndarray = Wavesyn_util.Ndarray
 module Prng = Wavesyn_util.Prng
 module Metric = Wavesyn_obs.Metric
 module Registry = Wavesyn_obs.Registry
+module Deadline = Wavesyn_robust.Deadline
 
 let check = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -52,6 +55,39 @@ let check_minmax_pair name (r_flat : Minmax_dp.result) (r_ref : Minmax_dp.result
   check (name ^ ": synopsis") true (r_flat.synopsis = r_ref.synopsis);
   checki (name ^ ": dp_states") r_ref.dp_states r_flat.dp_states
 
+(* Edge shapes for the flat kernel's leaf-level shortcut and root
+   handling: the smallest domains (n = 1 has no detail coefficient and
+   the root's child is the only data cell), an all-zero signal, and
+   budgets above the nonzero-coefficient count. *)
+let minmax_edge_cases rng =
+  let tiny =
+    List.concat_map
+      (fun n ->
+        List.map (fun budget -> (signal rng n, budget)) [ 0; 1; 2; n; n + 2 ])
+      [ 1; 2; 4 ]
+  in
+  let zeros = List.map (fun budget -> (Array.make 8 0., budget)) [ 0; 3; 8 ] in
+  (* three nonzero cells -> a handful of nonzero coefficients *)
+  let sparse =
+    let data = Array.make 16 0. in
+    data.(2) <- 7.;
+    data.(9) <- -3.;
+    data.(10) <- 1.5;
+    let nonzero =
+      Array.fold_left
+        (fun acc c -> if c <> 0. then acc + 1 else acc)
+        0
+        (Wavesyn_haar.Error_tree.coeffs (Wavesyn_haar.Error_tree.of_data data))
+    in
+    List.map (fun budget -> (data, budget)) [ nonzero; nonzero + 3; 16 ]
+  in
+  List.concat_map
+    (fun (data, budget) ->
+      List.map
+        (fun metric -> (data, budget, metric))
+        [ Metrics.Abs; Metrics.Rel { sanity = 5. } ])
+    (tiny @ zeros @ sparse)
+
 let test_minmax_flat_vs_reference () =
   let rng = Prng.create ~seed:41 in
   List.iter
@@ -64,18 +100,21 @@ let test_minmax_flat_vs_reference () =
                 Minmax_dp.solve ~split ~cap_budget ~impl:Reference ~data ~budget
                   metric
               in
-              let r_flat =
-                Minmax_dp.solve ~split ~cap_budget ~impl:Flat ~data ~budget
-                  metric
-              in
-              let name =
-                Printf.sprintf "n=%d b=%d cap=%b" (Array.length data) budget
-                  cap_budget
-              in
-              check_minmax_pair name r_flat r_ref)
+              List.iter
+                (fun (layout, dense_limit) ->
+                  let r_flat =
+                    Minmax_dp.solve ~split ~cap_budget ~impl:Flat ?dense_limit
+                      ~data ~budget metric
+                  in
+                  let name =
+                    Printf.sprintf "n=%d b=%d cap=%b %s" (Array.length data)
+                      budget cap_budget layout
+                  in
+                  check_minmax_pair name r_flat r_ref)
+                [ ("dense", None); ("spill", Some 1) ])
             [ true; false ])
         [ Minmax_dp.Binary_search; Minmax_dp.Linear_scan ])
-    (minmax_cases rng)
+    (minmax_cases rng @ minmax_edge_cases rng)
 
 (* The spill layout (rows allocated lazily above dense_limit) must be
    indistinguishable from the dense one; dense_limit:1 forces every
@@ -90,6 +129,92 @@ let test_minmax_spill_layout () =
       in
       check_minmax_pair "dense vs spill" spill dense)
     (minmax_cases rng)
+
+let test_minmax_bad_sanity () =
+  let data = [| 1.; 2.; 3.; 4. |] in
+  List.iter
+    (fun (name, impl) ->
+      match
+        Minmax_dp.solve ~impl ~data ~budget:2 (Metrics.Rel { sanity = 0. })
+      with
+      | _ -> Alcotest.failf "%s: sanity 0 accepted" name
+      | exception Invalid_argument _ -> ())
+    [ ("flat", Minmax_dp.Flat); ("reference", Minmax_dp.Reference) ]
+
+(* The [on_state] contract: one call per fresh state (so the count is
+   dp_states) in the same order for every kernel and layout, which is
+   what lets a state-capped deadline abort each of them after the same
+   number of checks. *)
+let kernels =
+  [
+    ("flat dense", Minmax_dp.Flat, None);
+    ("flat spill", Minmax_dp.Flat, Some 1);
+    ("reference", Minmax_dp.Reference, None);
+  ]
+
+let test_on_state_counts () =
+  let rng = Prng.create ~seed:73 in
+  List.iter
+    (fun (data, budget, metric) ->
+      List.iter
+        (fun (name, impl, dense_limit) ->
+          let calls = ref 0 in
+          let r =
+            Minmax_dp.solve ~impl ?dense_limit
+              ~on_state:(fun () -> incr calls)
+              ~data ~budget metric
+          in
+          checki (name ^ ": hook calls = dp_states") r.dp_states !calls)
+        kernels)
+    (minmax_cases rng @ minmax_edge_cases rng)
+
+let test_deadline_parity () =
+  let rng = Prng.create ~seed:79 in
+  let data = signal rng 64 in
+  let full = Minmax_dp.solve ~impl:Reference ~data ~budget:8 Metrics.Abs in
+  List.iter
+    (fun cap ->
+      let checks (name, impl, dense_limit) =
+        let d = Deadline.create ~state_cap:cap () in
+        match
+          Minmax_dp.solve ~impl ?dense_limit
+            ~on_state:(fun () -> Deadline.tick d)
+            ~data ~budget:8 Metrics.Abs
+        with
+        | _ -> Alcotest.failf "%s: state_cap %d did not abort" name cap
+        | exception Deadline.Deadline_exceeded st -> st.Deadline.checks
+      in
+      let counts = List.map checks kernels in
+      List.iter
+        (fun got -> checki (Printf.sprintf "state_cap %d: checks" cap) (cap + 1) got)
+        counts)
+    [ 0; 1; 17; full.dp_states / 2; full.dp_states - 1 ]
+
+(* Allocation regression: the flat kernel allocates nothing per state
+   (its tables live outside the OCaml heap), so on a fixed input the
+   minor words of a whole solve — the per-solve set-up and the
+   synopsis — stay far below one word per state. The dense bound is the
+   performance contract of docs/KERNELS.md. On this input the dense
+   layout measured 0.042 words/state and the spill layout 0.046 (the
+   closure-based kernel this one replaced: 69.6 and 87.1); the spill
+   bound is twice the measured value. *)
+let minor_words_per_state ?dense_limit () =
+  let data =
+    Wavesyn_datagen.Signal.zipf ~rng:(Prng.create ~seed:7) ~n:256 ~alpha:1.2
+      ~scale:100.
+  in
+  let solve () = Minmax_dp.solve ?dense_limit ~data ~budget:16 Metrics.Abs in
+  ignore (solve ());
+  let w0 = Gc.minor_words () in
+  let r = solve () in
+  (Gc.minor_words () -. w0) /. float_of_int r.dp_states
+
+let test_minmax_allocation () =
+  let dense = minor_words_per_state () in
+  let spill = minor_words_per_state ~dense_limit:1 () in
+  check (Printf.sprintf "dense: %.3f words/state <= 2" dense) true (dense <= 2.);
+  check (Printf.sprintf "spill: %.3f words/state <= 0.092" spill) true
+    (spill <= 0.092)
 
 let test_budget_for_flat_vs_reference () =
   let rng = Prng.create ~seed:47 in
@@ -247,6 +372,14 @@ let () =
             test_minmax_spill_layout;
           Alcotest.test_case "budget_for flat = reference, pooled" `Quick
             test_budget_for_flat_vs_reference;
+          Alcotest.test_case "sanity 0 rejected by both kernels" `Quick
+            test_minmax_bad_sanity;
+          Alcotest.test_case "on_state count = dp_states" `Quick
+            test_on_state_counts;
+          Alcotest.test_case "state-capped deadline parity" `Quick
+            test_deadline_parity;
+          Alcotest.test_case "no allocation per state" `Quick
+            test_minmax_allocation;
         ] );
       ( "md flat",
         [
