@@ -30,7 +30,6 @@ module Wire = Wavesyn_server.Wire
 module Admit = Wavesyn_server.Admit
 module Shard = Wavesyn_server.Shard
 module Rcache = Wavesyn_adaptive.Rcache
-module Fusion = Wavesyn_adaptive.Fusion
 
 let rng = Prng.create ~seed:31415
 let signal n = Signal.random_walk ~rng ~n ~step:3.
@@ -222,7 +221,7 @@ let srv_shard_case ~shards =
 (* The result-cache A/B twin (docs/ADAPTIVE.md): the serving loop's
    per-request range evaluation over a hot set of 8 distinct ranges
    asked 64 times — the repeated traffic a cache exists for. The
-   nocache row evaluates every probe through the shared fusion plan;
+   nocache row evaluates every probe with Range_query.range_sum;
    the cache row consults an Rcache first, exactly like the server's
    cache check. wavesyn-benchgate requires the cache row to beat its
    nocache twin — a cache that does not pay for its lookups fails the
@@ -231,13 +230,12 @@ let srv_cache_case ~cache =
   let n = 256 in
   let data = Array.init n (fun i -> float_of_int (((i * 37) mod 101) + 3)) in
   let syn = Greedy_l2.threshold ~data ~budget:32 in
-  let plan = Fusion.plan syn in
   let hot =
     Array.init 8 (fun i ->
         let lo = (i * 29) mod (n / 2) in
         (lo, lo + 63))
   in
-  let eval (lo, hi) = Fusion.range_sum plan ~lo ~hi in
+  let eval (lo, hi) = Range_query.range_sum syn ~lo ~hi in
   if not cache then
     Test.make ~name:"SRV/range-eval-nocache:64"
       (Staged.stage (fun () ->

@@ -421,21 +421,11 @@ let evaluate_cmd =
           die (Validate.Io_error { path; reason = "short read" })
     in
     let syn =
-      match Synopsis.of_string text with
+      match Synopsis.of_string ~n:(Array.length data) text with
       | syn -> syn
       | exception Failure reason ->
           die (Validate.Bad_shape { what = path; reason })
     in
-    if Synopsis.n syn <> Array.length data then
-      die
-        (Validate.Bad_shape
-           {
-             what = path;
-             reason =
-               Printf.sprintf
-                 "synopsis domain (%d) does not match the dataset (%d)"
-                 (Synopsis.n syn) (Array.length data);
-           });
     let approx = Synopsis.reconstruct syn in
     let summary = Metrics.summary ~sanity ~data ~approx () in
     Printf.printf "synopsis: %d coefficients over %d cells\n" (Synopsis.size syn)
@@ -481,8 +471,18 @@ let quantile_cmd =
   let run file gen n seed algo budget sanity q =
     let data = load_data file gen n seed in
     let syn = build_synopsis ~data ~budget ~sanity algo in
-    let est = Wavesyn_aqp.Quantiles.estimate syn ~q in
-    let exact = Wavesyn_aqp.Quantiles.exact data ~q in
+    (* q is checked first, so an out-of-range (or NaN) q is a usage
+       error and a non-positive total a data error. *)
+    let answer f =
+      match f ~q with
+      | pos -> pos
+      | exception Invalid_argument reason when q >= 0. && q <= 1. ->
+          die (Validate.Bad_shape { what = "quantile"; reason })
+      | exception Invalid_argument reason ->
+          die (Validate.Bad_option { what = "Q"; reason })
+    in
+    let est = answer (Wavesyn_aqp.Quantiles.estimate syn) in
+    let exact = answer (Wavesyn_aqp.Quantiles.exact data) in
     Printf.printf "q=%g  exact position: %d  estimated: %d  (domain %d)\n" q
       exact est (Array.length data)
   in

@@ -1,92 +1,10 @@
-(* Batch fusion: share one error-tree traversal across a round's range
-   work.
-
-   [Range_query.range_sum] walks every retained coefficient per range,
-   recomputing each detail coefficient's support on every call. A
-   fusion {e plan} hoists that per-coefficient work — index, value,
-   support endpoints and midpoint, in ascending index order — into
-   flat arrays built once per round, so evaluating R ranges over a
-   B-coefficient synopsis shares the B support computations instead of
-   redoing them R times (and, for quantiles, log2 n times per
-   bisection).
-
-   Bit-identity is the contract: {!range_sum} accumulates
-   [acc +. (c *. float (left - right))] over the coefficients in
-   exactly the order and with exactly the operations of
-   [Range_query.range_sum]'s fold, and {!quantile} mirrors
-   [Quantiles.estimate] — same checks, same messages, same bisection —
-   with its cumulative backed by {!range_sum}. Answers are therefore
-   byte-identical to the unfused path, which is why fusion can be
-   always-on without a flag. *)
+(* Delegations to the one read evaluator, kept for the per-layer
+   benchmark's call sites. *)
 
 module Synopsis = Wavesyn_synopsis.Synopsis
-module Haar1d = Wavesyn_haar.Haar1d
 
-type plan = {
-  p_n : int;
-  idx : int array;
-  coeff : float array;
-  sup_a : int array;
-  sup_mid : int array;
-  sup_b : int array;
-}
+type plan = Synopsis.t
 
-let plan syn =
-  let n = Synopsis.n syn in
-  let cs = Synopsis.coeffs syn in
-  let k = List.length cs in
-  let idx = Array.make k 0 and coeff = Array.make k 0. in
-  let sup_a = Array.make k 0
-  and sup_mid = Array.make k 0
-  and sup_b = Array.make k 0 in
-  List.iteri
-    (fun t (j, c) ->
-      idx.(t) <- j;
-      coeff.(t) <- c;
-      if j > 0 then begin
-        let a, b = Haar1d.support ~n j in
-        sup_a.(t) <- a;
-        sup_mid.(t) <- (a + b) / 2;
-        sup_b.(t) <- b
-      end)
-    cs;
-  { p_n = n; idx; coeff; sup_a; sup_mid; sup_b }
-
-let n p = p.p_n
-let size p = Array.length p.idx
-
-(* Length of the intersection of half-open intervals [a, b) and [c, d)
-   — the same arithmetic as [Range_query.overlap]. *)
-let overlap a b c d = Stdlib.max 0 (Stdlib.min b d - Stdlib.max a c)
-
-let range_sum p ~lo ~hi =
-  if lo < 0 || hi >= p.p_n || lo > hi then
-    invalid_arg "Range_query: invalid range bounds";
-  let acc = ref 0. in
-  for t = 0 to Array.length p.idx - 1 do
-    let c = p.coeff.(t) in
-    acc :=
-      !acc
-      +.
-      if p.idx.(t) = 0 then c *. float_of_int (hi - lo + 1)
-      else begin
-        let left = overlap lo (hi + 1) p.sup_a.(t) p.sup_mid.(t) in
-        let right = overlap lo (hi + 1) p.sup_mid.(t) p.sup_b.(t) in
-        c *. float_of_int (left - right)
-      end
-  done;
-  !acc
-
-let quantile p ~q =
-  if q < 0. || q > 1. then invalid_arg "Quantiles: q must be in [0, 1]";
-  let n = p.p_n in
-  let cum i = range_sum p ~lo:0 ~hi:i in
-  let total = cum (n - 1) in
-  if total <= 0. then invalid_arg "Quantiles: estimated total is not positive";
-  let target = q *. total in
-  let lo = ref 0 and hi = ref (n - 1) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if cum mid >= target then hi := mid else lo := mid + 1
-  done;
-  !lo
+let plan syn = syn
+let range_sum = Wavesyn_synopsis.Range_query.range_sum
+let quantile = Wavesyn_aqp.Quantiles.estimate

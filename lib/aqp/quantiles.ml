@@ -3,14 +3,12 @@ module Range_query = Wavesyn_synopsis.Range_query
 
 let cumulative syn i = Range_query.range_sum syn ~lo:0 ~hi:i
 
+(* Written so that NaN fails the test too. *)
 let check_q q =
-  if q < 0. || q > 1. then invalid_arg "Quantiles: q must be in [0, 1]"
+  if not (q >= 0. && q <= 1.) then
+    invalid_arg "Quantiles: q must be in [0, 1]"
 
-let estimate syn ~q =
-  check_q q;
-  let n = Synopsis.n syn in
-  let total = cumulative syn (n - 1) in
-  if total <= 0. then invalid_arg "Quantiles: estimated total is not positive";
+let bisect ~n ~total ~cumulative ~q =
   let target = q *. total in
   (* Bisection for a crossing of cumulative >= target. The prefix sums
      of a synopsis can dip locally (reconstructed frequencies may be
@@ -18,9 +16,16 @@ let estimate syn ~q =
   let lo = ref 0 and hi = ref (n - 1) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if cumulative syn mid >= target then hi := mid else lo := mid + 1
+    if cumulative mid >= target then hi := mid else lo := mid + 1
   done;
   !lo
+
+let estimate syn ~q =
+  check_q q;
+  let n = Synopsis.n syn in
+  let total = cumulative syn (n - 1) in
+  if total <= 0. then invalid_arg "Quantiles: estimated total is not positive";
+  bisect ~n ~total ~cumulative:(cumulative syn) ~q
 
 let median syn = estimate syn ~q:0.5
 

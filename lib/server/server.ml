@@ -23,7 +23,6 @@ module Workload = Wavesyn_aqp.Workload
 module Profiler = Wavesyn_adaptive.Profiler
 module Tiers = Wavesyn_adaptive.Tiers
 module Rcache = Wavesyn_adaptive.Rcache
-module Fusion = Wavesyn_adaptive.Fusion
 module Validate = Wavesyn_robust.Validate
 module Ladder = Wavesyn_robust.Ladder
 module Deadline = Wavesyn_robust.Deadline
@@ -490,11 +489,7 @@ let registry t = t.obs
 
 (* --- query evaluation (pure reads of the serving synopsis) --- *)
 
-(* With [plan], range and quantile work goes through the round's
-   shared fusion plan — bit-identical to the per-call path by
-   {!Fusion}'s contract, so the reply stream does not depend on
-   whether a plan was built. *)
-let eval_one ?plan t req =
+let eval_one t req =
   let n = Synopsis.n t.synopsis in
   match req with
   | Wire.Point i ->
@@ -506,12 +501,7 @@ let eval_one ?plan t req =
           }
       else Wire.Value (Synopsis.reconstruct_point t.synopsis i)
   | Wire.Range { lo; hi } -> (
-      let sum () =
-        match plan with
-        | Some p -> Fusion.range_sum p ~lo ~hi
-        | None -> Range_query.range_sum t.synopsis ~lo ~hi
-      in
-      match sum () with
+      match Range_query.range_sum t.synopsis ~lo ~hi with
       | v -> Wire.Value v
       | exception Invalid_argument _ ->
           Wire.Error
@@ -522,17 +512,12 @@ let eval_one ?plan t req =
                   hi (n - 1);
             })
   | Wire.Quantile q -> (
-      let estimate () =
-        match plan with
-        | Some p -> Fusion.quantile p ~q
-        | None -> Quantiles.estimate t.synopsis ~q
-      in
-      match estimate () with
+      match Quantiles.estimate t.synopsis ~q with
       | pos -> Wire.Quantile_pos pos
       | exception Invalid_argument reason ->
           let code =
-            if q < 0. || q > 1. || Float.is_nan q then Wire.Out_of_range
-            else Wire.Unanswerable
+            if q >= 0. && q <= 1. then Wire.Unanswerable
+            else Wire.Out_of_range
           in
           Wire.Error { code; message = reason })
   | Wire.Ping | Wire.Stats | Wire.Batch _ | Wire.Shutdown | Wire.Sync _
@@ -918,10 +903,10 @@ let process_request t ~(slots : slot list ref) ~evals ~writes conn request =
   | Wire.Update _ | Wire.Ingest _ -> stage_write request
   | Wire.Point _ | Wire.Range _ | Wire.Quantile _ -> admit request
 
-(* Evaluate the round's admitted requests, batched by query kind, each
-   kind fanned out positionally over the pool — results land back in
-   their slots, so per-connection reply order is request order no
-   matter how the pool schedules the work.
+(* Evaluate the round's admitted requests, in arrival order, fanned
+   out positionally over the pool — results land back in their slots,
+   so per-connection reply order is request order no matter how the
+   pool schedules the work.
 
    The result cache is consulted in a single-threaded pre-pass over
    the round in arrival order (so its hit/miss counters are
@@ -930,8 +915,9 @@ let process_request t ~(slots : slot list ref) ~evals ~writes conn request =
    request already took its admission slot, so the shed schedule — and
    with it the pressure trajectory — is byte-identical cache-on vs
    cache-off. *)
-let rec evaluate_round t evals =
+let evaluate_round t evals =
   ignore (Admit.take_batch t.admit);
+  let evals = List.rev evals in
   match t.router with
   | Some r ->
       (* Scatter-gather is synchronous RPC, not pool work: shards are
@@ -950,17 +936,11 @@ let rec evaluate_round t evals =
           in
           count_error t reply;
           slot.s_reply <- Some reply)
-        (List.rev evals)
-  | None -> pooled_round t evals
-
-and pooled_round t evals =
-  let evals = Array.of_list (List.rev evals) in
-  (* Cache pre-pass: hits fill their slots now; only misses reach the
-     pool. *)
-  let pending =
-    match t.cache with
-    | None -> evals
-    | Some _ ->
+        evals
+  | None ->
+      (* Cache pre-pass: hits fill their slots now; only misses reach
+         the pool. *)
+      let pending =
         Array.of_list
           (List.filter
              (fun (slot, req) ->
@@ -970,91 +950,20 @@ and pooled_round t evals =
                    slot.s_reply <- Some reply;
                    false
                | None -> true)
-             (Array.to_list evals))
-  in
-  (* One fusion plan is shared by every range and quantile in the
-     round — built in the serving thread, immutable under the pool. *)
-  let plan =
-    if
-      Array.exists
-        (fun (_, r) ->
-          match r with Wire.Range _ | Wire.Quantile _ -> true | _ -> false)
-        pending
-    then Some (Fusion.plan t.synopsis)
-    else None
-  in
-  let group_of tag =
-    Array.of_list
-      (List.filter
-         (fun (_, r) ->
-           match (tag, r) with
-           | `Point, Wire.Point _
-           | `Range, Wire.Range _
-           | `Quantile, Wire.Quantile _ ->
-               true
-           | _ -> false)
-         (Array.to_list pending))
-  in
-  let by_kind tag =
-    let group = group_of tag in
-    if Array.length group > 0 then begin
-      let replies =
-        Pool.map_chunked t.pool (Array.length group) (fun i ->
-            eval_one ?plan t (snd group.(i)))
+             evals)
       in
+      let replies =
+        Pool.map_chunked t.pool (Array.length pending) (fun i ->
+            eval_one t (snd pending.(i)))
+      in
+      (* Fill the slots, and the cache from the fresh results, in
+         arrival order. *)
       Array.iteri
-        (fun i (slot, _) ->
+        (fun i (slot, req) ->
           count_error t replies.(i);
-          slot.s_reply <- Some replies.(i))
-        group
-    end
-  in
-  (* Ranges additionally dedup: identical spans are evaluated once (in
-     first-appearance order) and the reply fanned back to every slot —
-     sound because evaluation is a pure function of the span and the
-     plan. *)
-  let range_round () =
-    let group = group_of `Range in
-    if Array.length group > 0 then begin
-      let index = Hashtbl.create 16 in
-      let rev_uniq = ref [] and count = ref 0 in
-      let slot_idx =
-        Array.map
-          (fun (_, req) ->
-            match Hashtbl.find_opt index req with
-            | Some j -> j
-            | None ->
-                let j = !count in
-                Hashtbl.add index req j;
-                rev_uniq := req :: !rev_uniq;
-                Stdlib.incr count;
-                j)
-          group
-      in
-      let uniq = Array.of_list (List.rev !rev_uniq) in
-      let replies =
-        Pool.map_chunked t.pool (Array.length uniq) (fun j ->
-            eval_one ?plan t uniq.(j))
-      in
-      Array.iteri
-        (fun i (slot, _) ->
-          let reply = replies.(slot_idx.(i)) in
-          count_error t reply;
-          slot.s_reply <- Some reply)
-        group
-    end
-  in
-  by_kind `Point;
-  range_round ();
-  by_kind `Quantile;
-  (* Fill the cache from the round's fresh results, in arrival order. *)
-  if t.cache <> None then
-    Array.iter
-      (fun (slot, req) ->
-        match slot.s_reply with
-        | Some reply -> cache_store t req reply
-        | None -> ())
-      pending
+          slot.s_reply <- Some replies.(i);
+          cache_store t req replies.(i))
+        pending
 
 (* --- the select loop --- *)
 

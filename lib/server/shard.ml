@@ -21,6 +21,7 @@
 
 module Validate = Wavesyn_robust.Validate
 module Rcache = Wavesyn_adaptive.Rcache
+module Quantiles = Wavesyn_aqp.Quantiles
 
 type range = { lo : int; hi : int }
 
@@ -208,12 +209,13 @@ let value t k ~lo ~hi =
           Rcache.add memo ~epoch:t.memo_epoch key v;
           v)
 
-(* Mirror of [Quantiles.estimate] over composed per-shard prefix sums:
-   same validity checks, same messages, same bisection — [cumulative]
-   at a global index is the full totals of the shards before the owner
-   plus the owner's local prefix, accumulated in shard-index order. *)
+(* [Quantiles.estimate] over composed per-shard prefix sums: same
+   validity checks, same messages, same bisection. The per-shard
+   totals are fetched first; [cumulative] at a global index is the
+   full totals of the shards before the owner plus the owner's local
+   prefix, accumulated in shard-index order. *)
 let quantile t q =
-  if q < 0. || q > 1. then
+  if not (q >= 0. && q <= 1.) then
     Wire.Error
       {
         code = Wire.Out_of_range;
@@ -225,12 +227,12 @@ let quantile t q =
     in
     let total = Array.fold_left ( +. ) 0. totals in
     if total <= 0. then
-      let code =
-        if Float.is_nan q then Wire.Out_of_range else Wire.Unanswerable
-      in
-      Wire.Error { code; message = "Quantiles: estimated total is not positive" }
+      Wire.Error
+        {
+          code = Wire.Unanswerable;
+          message = "Quantiles: estimated total is not positive";
+        }
     else begin
-      let target = q *. total in
       let cumulative mid =
         let k = owner t mid in
         let before = ref 0. in
@@ -239,12 +241,7 @@ let quantile t q =
         done;
         !before +. value t k ~lo:0 ~hi:(mid - t.ranges.(k).lo)
       in
-      let lo = ref 0 and hi = ref (t.n - 1) in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if cumulative mid >= target then hi := mid else lo := mid + 1
-      done;
-      Wire.Quantile_pos !lo
+      Wire.Quantile_pos (Quantiles.bisect ~n:t.n ~total ~cumulative ~q)
     end
   end
 

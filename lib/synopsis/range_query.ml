@@ -1,4 +1,3 @@
-module Haar1d = Wavesyn_haar.Haar1d
 module Ndarray = Wavesyn_util.Ndarray
 module Float_util = Wavesyn_util.Float_util
 
@@ -17,22 +16,9 @@ let range_sum_exact data ~lo ~hi =
 (* Length of the intersection of half-open intervals [a, b) and [c, d). *)
 let overlap a b c d = Stdlib.max 0 (Stdlib.min b d - Stdlib.max a c)
 
-let coeff_range_contribution ~n ~lo ~hi (j, c) =
-  if j = 0 then c *. float_of_int (hi - lo + 1)
-  else begin
-    let a, b = Haar1d.support ~n j in
-    let mid = (a + b) / 2 in
-    let left = overlap lo (hi + 1) a mid in
-    let right = overlap lo (hi + 1) mid b in
-    c *. float_of_int (left - right)
-  end
-
 let range_sum syn ~lo ~hi =
-  let n = Synopsis.n syn in
-  check_range ~n ~lo ~hi;
-  List.fold_left
-    (fun acc pair -> acc +. coeff_range_contribution ~n ~lo ~hi pair)
-    0. (Synopsis.coeffs syn)
+  check_range ~n:(Synopsis.n syn) ~lo ~hi;
+  Synopsis.path_sum syn ~lo ~hi
 
 let range_avg syn ~lo ~hi = range_sum syn ~lo ~hi /. float_of_int (hi - lo + 1)
 

@@ -3,17 +3,24 @@
     This is the approximate-query-processing substrate of Matias,
     Vitter & Wang [15] and Vitter & Wang [21]: a retained coefficient
     contributes to the sum over a range in closed form, so a range-SUM
-    over any rectangle costs O(B) (times D for multi-dimensional data)
-    instead of touching the data. *)
+    costs O(log n) in one dimension (only the coefficients on the
+    paths of its endpoints contribute) and O(B D) over a
+    multi-dimensional rectangle, instead of touching the data. *)
 
 val range_sum_exact : float array -> lo:int -> hi:int -> float
 (** Exact sum of [data.(lo .. hi)] (inclusive bounds). *)
 
 val range_sum : Synopsis.t -> lo:int -> hi:int -> float
 (** Approximate sum of the reconstructed values over [lo .. hi]
-    (inclusive), in O(B) — each coefficient contributes
+    (inclusive), in O(log n) — each coefficient contributes
     [c * (overlap with its positive half - overlap with its negative
-    half)]. *)
+    half)], and only the ≤ 2·log2 n + 1 on the paths of [lo] and [hi]
+    can contribute a nonzero term ({!Synopsis.path_sum}, which reads
+    the synopsis's 8·n-byte coefficient index). For finite
+    coefficients the result is bit-identical to the O(B) fold over all
+    retained coefficients in index order. Raises [Invalid_argument]
+    ["Range_query: invalid range bounds"] unless
+    [0 <= lo <= hi < n]. *)
 
 val range_avg : Synopsis.t -> lo:int -> hi:int -> float
 (** Approximate average over the range. *)

@@ -4,7 +4,9 @@ module Md_tree = Wavesyn_haar.Md_tree
 module Ndarray = Wavesyn_util.Ndarray
 module Float_util = Wavesyn_util.Float_util
 
-type t = { n : int; coeffs : (int * float) list }
+(* [dense] is the coefficient index: [dense.(j)] is the value of
+   coefficient [j], or [0.] where it is not retained. *)
+type t = { n : int; coeffs : (int * float) list; dense : float array }
 
 let make ~n coeffs =
   if not (Float_util.is_pow2 n) then
@@ -23,7 +25,9 @@ let make ~n coeffs =
     | _ -> ()
   in
   check_dups sorted;
-  { n; coeffs = sorted }
+  let dense = Array.make n 0. in
+  List.iter (fun (i, c) -> dense.(i) <- c) sorted;
+  { n; coeffs = sorted; dense }
 
 let of_wavelet ~wavelet indices =
   let n = Array.length wavelet in
@@ -32,14 +36,49 @@ let of_wavelet ~wavelet indices =
 let n t = t.n
 let size t = List.length t.coeffs
 let coeffs t = t.coeffs
-let mem t i = List.exists (fun (j, _) -> j = i) t.coeffs
+let mem t i = i >= 0 && i < t.n && t.dense.(i) <> 0.
 
-let reconstruct_point t i = Haar1d.point_from_set ~n:t.n t.coeffs i
+let imin (a : int) b = if a < b then a else b
+let imax (a : int) b = if a > b then a else b
 
-let reconstruct t =
-  let w = Array.make t.n 0. in
-  List.iter (fun (i, c) -> w.(i) <- c) t.coeffs;
-  Haar1d.reconstruct w
+(* [left - right] for the detail coefficient with support
+   [a, a + width): the overlaps of [lo, hi1) with the support's
+   positive and negative halves. *)
+let signed_overlap ~lo ~hi1 ~a ~width =
+  let mid = a + (width lsr 1) and b = a + width in
+  imax 0 (imin hi1 mid - imax lo a) - imax 0 (imin hi1 b - imax lo mid)
+
+(* A detail coefficient whose support contains neither [lo] nor [hi]
+   either misses [lo, hi] or lies inside it, and adds an exact zero.
+   So the walk visits [c_0] and, level by level, the ancestors of [lo]
+   and [hi] — ascending index order, the order of the full fold. *)
+let path_sum t ~lo ~hi =
+  let w = t.dense and hi1 = hi + 1 in
+  let acc = ref (0. +. (w.(0) *. float_of_int (hi1 - lo))) in
+  let base = ref 1 and width = ref t.n in
+  while !width > 1 do
+    let wd = !width in
+    let kl = lo / wd and kh = hi / wd in
+    acc :=
+      !acc
+      +. w.(!base + kl)
+         *. float_of_int (signed_overlap ~lo ~hi1 ~a:(kl * wd) ~width:wd);
+    if kh <> kl then
+      acc :=
+        !acc
+        +. w.(!base + kh)
+           *. float_of_int (signed_overlap ~lo ~hi1 ~a:(kh * wd) ~width:wd);
+    base := !base * 2;
+    width := wd / 2
+  done;
+  !acc
+
+let reconstruct_point t i =
+  if i < 0 || i >= t.n then
+    invalid_arg "Synopsis.reconstruct_point: cell out of range";
+  path_sum t ~lo:i ~hi:i
+
+let reconstruct t = Haar1d.reconstruct t.dense
 
 let level_histogram t =
   (* Levels run 0 .. log2 n - 1 (c_0 and c_1 share level 0); a
@@ -66,22 +105,34 @@ let to_string t =
     t.coeffs;
   Buffer.contents buf
 
-let of_string s =
+let of_string ?n:expected s =
   match String.split_on_char ' ' (String.trim s) with
   | [] -> failwith "Synopsis.of_string: empty input"
-  | n_str :: rest ->
+  | n_str :: rest -> (
       let n =
-        try int_of_string n_str
-        with Failure _ -> failwith "Synopsis.of_string: bad domain size"
+        match int_of_string_opt n_str with
+        | Some n -> n
+        | None -> failwith "Synopsis.of_string: bad domain size"
       in
+      (match expected with
+      | Some e when e <> n ->
+          failwith
+            (Printf.sprintf
+               "Synopsis.of_string: domain size %d does not match the \
+                expected %d"
+               n e)
+      | _ -> ());
+      let bad () = failwith "Synopsis.of_string: bad coefficient" in
       let parse_pair p =
         match String.split_on_char ':' p with
         | [ i; c ] -> (
-            try (int_of_string i, float_of_string c)
-            with Failure _ -> failwith "Synopsis.of_string: bad coefficient")
-        | _ -> failwith "Synopsis.of_string: bad coefficient"
+            match (int_of_string_opt i, float_of_string_opt c) with
+            | Some i, Some c when Float.is_finite c -> (i, c)
+            | _ -> bad ())
+        | _ -> bad ()
       in
-      make ~n (List.map parse_pair rest)
+      try make ~n (List.map parse_pair rest)
+      with Invalid_argument reason -> failwith reason)
 
 module Md = struct
   type md = { dims : int array; coeffs : (int * float) list; total : int }

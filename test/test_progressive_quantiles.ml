@@ -180,6 +180,14 @@ let test_quantiles_validation () =
   Alcotest.check_raises "q out of range"
     (Invalid_argument "Quantiles: q must be in [0, 1]")
     (fun () -> ignore (Quantiles.estimate syn ~q:1.5));
+  (* NaN fails every comparison, so it must be rejected explicitly,
+     not bisected to the last cell. *)
+  Alcotest.check_raises "q = nan"
+    (Invalid_argument "Quantiles: q must be in [0, 1]")
+    (fun () -> ignore (Quantiles.estimate syn ~q:Float.nan));
+  Alcotest.check_raises "exact q = nan"
+    (Invalid_argument "Quantiles: q must be in [0, 1]")
+    (fun () -> ignore (Quantiles.exact [| 1.; 2. |] ~q:Float.nan));
   let zero = Synopsis.make ~n:8 [] in
   Alcotest.check_raises "zero total"
     (Invalid_argument "Quantiles: estimated total is not positive")

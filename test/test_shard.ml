@@ -417,6 +417,16 @@ let test_scatter_gather_byte_identity () =
     ( ask unsharded_path (probes n),
       transcript ~seed:11 ~requests:90 ~batch:3 ~n unsharded_path )
   in
+  (* The quantile grid ends -0.5, 1.5, NaN, then PING: all three are
+     out of range, NaN included, on the unsharded server as on every
+     sharded topology below. *)
+  (match List.rev reference_replies with
+  | _ping :: nan :: over :: under :: _ ->
+      List.iter
+        (fun (what, reply) ->
+          checks what "ERROR out-of-range Quantiles: q must be in [0, 1]" reply)
+        [ ("QUANTILE nan", nan); ("QUANTILE 1.5", over); ("QUANTILE -0.5", under) ]
+  | _ -> Alcotest.fail "probe replies too short");
   List.iter
     (fun (shards, domains) ->
       let tag = Printf.sprintf " (shards %d, pool %d)" shards domains in

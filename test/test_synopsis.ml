@@ -6,6 +6,9 @@ module Metrics = Wavesyn_synopsis.Metrics
 module Range_query = Wavesyn_synopsis.Range_query
 module Ndarray = Wavesyn_util.Ndarray
 module Prng = Wavesyn_util.Prng
+module Quantiles = Wavesyn_aqp.Quantiles
+module Ladder = Wavesyn_robust.Ladder
+module Validate = Wavesyn_robust.Validate
 module Float_util = Wavesyn_util.Float_util
 
 let check = Alcotest.(check bool)
@@ -66,6 +69,25 @@ let test_serialization_rejects_garbage () =
        ignore (Synopsis.of_string "8 foo:bar");
        false
      with Failure _ -> true)
+
+(* A coefficient file is outside input: a non-finite value, an index
+   [make] rejects and a domain other than the expected one all fail
+   with [Failure], never [Invalid_argument], so the CLI reports them as
+   a malformed file. *)
+let test_serialization_rejects_non_finite () =
+  let fails expected text =
+    Alcotest.check_raises text (Failure expected) (fun () ->
+        ignore (Synopsis.of_string ~n:8 text))
+  in
+  List.iter
+    (fails "Synopsis.of_string: bad coefficient")
+    [ "8 0:inf"; "8 1:-inf"; "8 2:nan"; "8 0:1 3:infinity" ];
+  fails "Synopsis.make: coefficient index out of range" "8 9:1";
+  fails "Synopsis.make: duplicate coefficient index" "8 1:1 1:2";
+  fails "Synopsis.of_string: domain size 16 does not match the expected 8"
+    "16 1:1";
+  checki "finite coefficients still parse" 2
+    (Synopsis.size (Synopsis.of_string ~n:8 "8 0:0x1.8p+1 5:-1e300"))
 
 let test_describe () =
   let s = Synopsis.make ~n:8 [ (0, 2.75); (1, -1.25) ] in
@@ -321,6 +343,139 @@ let prop_md_range_matches_reconstruction =
         (Range_query.range_sum_exact_md approx ~ranges)
         (Range_query.range_sum_md syn ~ranges))
 
+(* --- the path-local evaluator: bit-identity with the full fold --- *)
+
+(* The O(B) fold over every retained coefficient in index order that
+   the path walk replaced, kept as the range oracle. *)
+let fold_range_sum syn ~lo ~hi =
+  let n = Synopsis.n syn in
+  let overlap a b c d = Stdlib.max 0 (Stdlib.min b d - Stdlib.max a c) in
+  List.fold_left
+    (fun acc (j, c) ->
+      acc
+      +.
+      if j = 0 then c *. float_of_int (hi - lo + 1)
+      else begin
+        let a, b = Haar1d.support ~n j in
+        let mid = (a + b) / 2 in
+        c
+        *. float_of_int (overlap lo (hi + 1) a mid - overlap lo (hi + 1) mid b)
+      end)
+    0. (Synopsis.coeffs syn)
+
+(* The quantile bisection over the oracle; [None] where the estimated
+   total is not positive. *)
+let fold_quantile syn ~q =
+  let n = Synopsis.n syn in
+  let cum i = fold_range_sum syn ~lo:0 ~hi:i in
+  let total = cum (n - 1) in
+  if total <= 0. then None
+  else begin
+    let target = q *. total in
+    let lo = ref 0 and hi = ref (n - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if cum mid >= target then hi := mid else lo := mid + 1
+    done;
+    Some !lo
+  end
+
+let same_bits what a b =
+  if Int64.bits_of_float a <> Int64.bits_of_float b then
+    Alcotest.fail (Printf.sprintf "%s: %h <> %h" what a b)
+
+(* Mixed signs and magnitudes from 1e-6 to 1e6, so partial sums cancel
+   and round. *)
+let mixed rng =
+  let m = (Prng.float rng 1. +. 1e-3) *. (10. ** float_of_int (Prng.int rng 13 - 6)) in
+  if Prng.bool rng then m else -.m
+
+let test_path_walk_bit_identity () =
+  let rng = Prng.create ~seed:2026 in
+  let check_synopsis what syn =
+    let n = Synopsis.n syn in
+    let what = Printf.sprintf "%s (n=%d b=%d)" what n (Synopsis.size syn) in
+    let range lo hi =
+      same_bits
+        (Printf.sprintf "%s range [%d, %d]" what lo hi)
+        (fold_range_sum syn ~lo ~hi)
+        (Range_query.range_sum syn ~lo ~hi)
+    in
+    if n <= 128 then
+      for lo = 0 to n - 1 do
+        for hi = lo to n - 1 do
+          range lo hi
+        done
+      done
+    else begin
+      range 0 (n - 1);
+      for _ = 1 to 2000 do
+        let a = Prng.int rng n and b = Prng.int rng n in
+        range (Stdlib.min a b) (Stdlib.max a b)
+      done
+    end;
+    for i = 0 to n - 1 do
+      same_bits
+        (Printf.sprintf "%s point %d" what i)
+        (Haar1d.point_from_set ~n (Synopsis.coeffs syn) i)
+        (Synopsis.reconstruct_point syn i)
+    done;
+    List.iter
+      (fun q ->
+        let got =
+          match Quantiles.estimate syn ~q with
+          | p -> Some p
+          | exception Invalid_argument _ -> None
+        in
+        if got <> fold_quantile syn ~q then
+          Alcotest.fail (Printf.sprintf "%s quantile %g" what q))
+      [ 0.; 0.01; 0.25; 0.5; 0.75; 0.99; 1. ]
+  in
+  List.iter
+    (fun n ->
+      let all = List.init n (fun j -> (j, mixed rng)) in
+      check_synopsis "full mixed" (Synopsis.make ~n all);
+      check_synopsis "sparse mixed"
+        (Synopsis.make ~n (List.filter (fun _ -> Prng.int rng 8 = 0) all));
+      (* Small integers: many sums cancel to an exact zero. *)
+      let ints = Array.init n (fun i -> float_of_int (((i * 37) mod 11) - 5)) in
+      check_synopsis "full integer"
+        (Synopsis.of_wavelet ~wavelet:(Haar1d.decompose ints) (List.init n Fun.id));
+      let data = Array.init n (fun _ -> Prng.float rng 8. +. 0.25) in
+      let budget = Stdlib.max 1 (n / 8) in
+      List.iter
+        (fun top ->
+          match Ladder.serve ~epsilon:0.25 ~top ~data ~budget Metrics.Abs with
+          | Ok served -> check_synopsis "ladder" served.Ladder.synopsis
+          | Error e -> Alcotest.fail (Validate.to_string e))
+        (if n <= 128 then [ `Greedy; `Minmax ] else [ `Greedy ]))
+    (List.init 11 (fun k -> 1 lsl k))
+
+(* The evaluator's error surface: messages the servers put on the
+   wire. *)
+let test_read_errors () =
+  let syn = Synopsis.make ~n:16 [ (0, 2.); (5, -1.) ] in
+  let msg f =
+    match f () with
+    | exception Invalid_argument m -> m
+    | _ -> Alcotest.fail "expected Invalid_argument"
+  in
+  Alcotest.(check string)
+    "bad bounds" "Range_query: invalid range bounds"
+    (msg (fun () -> Range_query.range_sum syn ~lo:3 ~hi:2));
+  List.iter
+    (fun q ->
+      Alcotest.(check string)
+        (Printf.sprintf "q = %g" q) "Quantiles: q must be in [0, 1]"
+        (msg (fun () -> Quantiles.estimate syn ~q)))
+    [ -0.5; 1.5; Float.nan ];
+  Alcotest.(check string)
+    "non-positive total" "Quantiles: estimated total is not positive"
+    (msg (fun () -> Quantiles.estimate (Synopsis.make ~n:8 []) ~q:0.5));
+  Alcotest.(check string)
+    "point outside" "Synopsis.reconstruct_point: cell out of range"
+    (msg (fun () -> Synopsis.reconstruct_point syn 16))
+
 let () =
   Alcotest.run "synopsis"
     [
@@ -333,6 +488,8 @@ let () =
           Alcotest.test_case "empty synopsis" `Quick test_empty_synopsis;
           Alcotest.test_case "serialization roundtrip" `Quick test_serialization_roundtrip;
           Alcotest.test_case "serialization rejects garbage" `Quick test_serialization_rejects_garbage;
+          Alcotest.test_case "serialization rejects non-finite" `Quick
+            test_serialization_rejects_non_finite;
           QCheck_alcotest.to_alcotest prop_of_string_never_crashes;
           Alcotest.test_case "describe" `Quick test_describe;
           Alcotest.test_case "md roundtrip" `Quick test_md_synopsis_roundtrip;
@@ -358,6 +515,12 @@ let () =
           Alcotest.test_case "md full synopsis" `Quick test_md_range_sum_full_synopsis;
           QCheck_alcotest.to_alcotest prop_range_sum_matches_reconstruction;
           QCheck_alcotest.to_alcotest prop_md_range_matches_reconstruction;
+        ] );
+      ( "path walk",
+        [
+          Alcotest.test_case "bit identity with the full fold" `Quick
+            test_path_walk_bit_identity;
+          Alcotest.test_case "read errors" `Quick test_read_errors;
         ] );
       ( "marginalization",
         [
