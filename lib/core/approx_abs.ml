@@ -82,8 +82,7 @@ let solve_tree ?pool ?impl ~tree ~budget ~epsilon () =
       let cfg =
         {
           Md_dp.coeff_value = (fun pos -> Float.floor (vals.(pos) /. k_tau));
-          round_error = Fun.id;
-          key_of_error = (fun e -> int_of_float e);
+          rounding = Md_dp.Exact;
           forced = (fun pos -> mags.(pos) > tau);
           leaf_denominator = (fun _ -> 1.);
         }

@@ -30,39 +30,6 @@ let theorem_epsilon ~tree eps =
   let logn = Float.max 1. (Float.log total /. Float.log 2.) in
   eps /. (float_of_int (1 lsl d) *. logn)
 
-(* Rounding to breakpoints {0} ∪ {±(1+ε)^k, kmin <= k <= kmax}.
-   Positive values round their magnitude down, negative values round it
-   up, exactly as in the paper's round_ε. *)
-type rounding = {
-  round : float -> float;
-  key : float -> int;
-}
-
-let make_rounding ~epsilon ~vmin ~vmax =
-  let log_base = Float.log (1. +. epsilon) in
-  let kmin = int_of_float (Float.floor (Float.log vmin /. log_base)) in
-  let kmax = int_of_float (Float.ceil (Float.log vmax /. log_base)) + 1 in
-  let bp k = Float.exp (float_of_int k *. log_base) in
-  let exponent v = Float.log (Float.abs v) /. log_base in
-  let clamp k = Stdlib.max kmin (Stdlib.min kmax k) in
-  let round v =
-    if Float.abs v < vmin then 0.
-    else begin
-      let l = exponent v in
-      if v > 0. then bp (clamp (int_of_float (Float.floor (l +. 1e-12))))
-      else -.bp (clamp (int_of_float (Float.ceil (l -. 1e-12))))
-    end
-  in
-  let key v =
-    if v = 0. then 0
-    else begin
-      let k = clamp (int_of_float (Float.round (exponent v))) in
-      let shifted = k - kmin + 1 in
-      if v > 0. then 2 * shifted else (2 * shifted) + 1
-    end
-  in
-  { round; key }
-
 let solve_tree ?on_state ?impl ~tree ~budget ~epsilon metric =
   if epsilon <= 0. || epsilon > 1. then
     invalid_arg "Approx_additive: epsilon must be in (0, 1]";
@@ -83,13 +50,11 @@ let solve_tree ?on_state ?impl ~tree ~budget ~epsilon metric =
     let span = path_bound tree in
     let vmax = 2. *. r *. span in
     let vmin = epsilon *. r /. (span *. 8.) in
-    let rounding = make_rounding ~epsilon ~vmin ~vmax in
     let wavelet = Md_tree.wavelet tree in
     let cfg =
       {
         Md_dp.coeff_value = (fun pos -> Ndarray.get_flat wavelet pos);
-        round_error = rounding.round;
-        key_of_error = rounding.key;
+        rounding = Md_dp.Breakpoints { epsilon; vmin; vmax };
         forced = (fun _ -> false);
         leaf_denominator =
           (fun cell -> Metrics.denominator metric (Ndarray.get data cell));

@@ -20,27 +20,44 @@
     generalization described in the paper. States are memoized top-down,
     so only reachable incoming-error values are ever tabulated.
 
+    The rounding is first-order data ({!rounding}), not a closure, so
+    the flat kernel rounds an error and derives its memo key without
+    allocating.
+
     Two memo kernels implement the recurrence ({!impl}): the default
-    flat kernel stores per-node budget rows keyed by the rounded-error
-    key and reuses per-depth scratch buffers, the reference kernel is
-    the original tuple-keyed Hashtbl. Their outcomes are bit-identical;
+    flat kernel keeps states in int and float slabs, one row per
+    (node, rounded-error key) found through an open-addressing index,
+    and allocates nothing per state; the reference kernel is the
+    original tuple-keyed Hashtbl. Their outcomes are bit-identical;
     [docs/KERNELS.md] states the layout and allocation contract. *)
+
+type rounding =
+  | Exact
+      (** Errors stay exact: the integer scheme, whose DP-unit
+          coefficients are integral. The memo key of an error [e] is
+          [int_of_float e]. *)
+  | Breakpoints of { epsilon : float; vmin : float; vmax : float }
+      (** The additive scheme: an error rounds to a breakpoint of
+          [{0} ∪ {±(1+ε)^k, kmin <= k <= kmax}], where [kmin] is
+          [floor (log vmin / log (1+ε))] and [kmax] is
+          [ceil (log vmax / log (1+ε)) + 1]. A positive error rounds its
+          magnitude down, a negative one up, and a magnitude below
+          [vmin] rounds to [0]. The key is the breakpoint's index and
+          sign. *)
 
 type config = {
   coeff_value : int -> float;
       (** DP-units value of the coefficient at a flat wavelet position
           (e.g. scaled integer, as a float). *)
-  round_error : float -> float;
-      (** Applied to every child's incoming error (identity for the
-          integer scheme). *)
-  key_of_error : float -> int;
-      (** Hash key for a rounded error value. Must be deterministic and
-          injective on the image of [round_error]. *)
+  rounding : rounding;
+      (** Applied to every child's incoming error; also defines the
+          memo key of a rounded error. *)
   forced : int -> bool;
       (** Coefficient must be retained (the [S_{>tau}] set of 3.2.2). *)
   leaf_denominator : int array -> float;
       (** The paper's [r] for a data cell: [max (|d_i|, s)] for relative
-          error, [1] for absolute error. *)
+          error, [1] for absolute error. The flat kernel calls it once
+          per cell and run. *)
 }
 
 type outcome = {
@@ -53,8 +70,8 @@ type outcome = {
 
 type impl =
   | Flat
-      (** per-node budget rows keyed by rounded-error key, per-depth
-          scratch buffers (default; see [docs/KERNELS.md]) *)
+      (** state slabs with int-keyed rows, per-depth scratch, nothing
+          allocated per state (default; see [docs/KERNELS.md]) *)
   | Reference
       (** the original tuple-keyed memo Hashtbl, kept as the
           bit-identical equivalence oracle ([test/test_kernels.ml]) *)

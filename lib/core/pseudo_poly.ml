@@ -24,8 +24,7 @@ let solve_scaled ~tree ~budget ~scale metric =
   let cfg =
     {
       Md_dp.coeff_value = scaled;
-      round_error = Fun.id;
-      key_of_error = (fun e -> int_of_float e);
+      rounding = Md_dp.Exact;
       forced = (fun _ -> false);
       leaf_denominator =
         (fun cell ->

@@ -3,9 +3,9 @@
    results — max_err bits, synopsis, dp_states — to the original
    tuple-keyed Hashtbl kernels, across random signals, budgets,
    metrics, split strategies, the dense and spill layouts, and pool
-   sizes 1 and 4. For Minmax_dp also the [on_state] contract and the
-   flat kernel's allocation profile. Plus the grain knob of the pool
-   fan-out. *)
+   sizes 1 and 4. For both engines also the [on_state] contract and
+   the flat kernel's allocation profile. Plus the grain knob of the
+   pool fan-out. *)
 
 module Pool = Wavesyn_par.Pool
 module Minmax_dp = Wavesyn_core.Minmax_dp
@@ -237,6 +237,20 @@ let test_budget_for_flat_vs_reference () =
 
 (* --- Md_dp solvers: Flat vs Reference --- *)
 
+let check_additive_pair name (r_flat : Approx_additive.result)
+    (r_ref : Approx_additive.result) =
+  check (name ^ ": bound bits") true (same_bits r_flat.bound r_ref.bound);
+  check (name ^ ": measured bits") true (same_bits r_flat.measured r_ref.measured);
+  check (name ^ ": synopsis") true (r_flat.synopsis = r_ref.synopsis);
+  checki (name ^ ": dp_states") r_ref.dp_states r_flat.dp_states
+
+let check_abs_pair name (r_flat : Approx_abs.result) (r_ref : Approx_abs.result) =
+  check (name ^ ": max_err bits") true (same_bits r_flat.max_err r_ref.max_err);
+  check (name ^ ": tau bits") true (same_bits r_flat.tau r_ref.tau);
+  check (name ^ ": synopsis") true (r_flat.synopsis = r_ref.synopsis);
+  checki (name ^ ": dp_states") r_ref.dp_states r_flat.dp_states;
+  checki (name ^ ": sweeps") r_ref.sweeps r_flat.sweeps
+
 let test_approx_abs_flat_vs_reference () =
   let rng = Prng.create ~seed:53 in
   List.iter
@@ -250,30 +264,46 @@ let test_approx_abs_flat_vs_reference () =
                 Approx_abs.solve ~pool:p ~impl ~data:nd ~budget:(n / 4)
                   ~epsilon:0.3 ()
               in
-              let r_ref = run Md_dp.Reference in
-              let r_flat = run Md_dp.Flat in
-              let name = Printf.sprintf "approx_abs n=%d domains=%d" n domains in
-              check (name ^ ": max_err bits") true
-                (same_bits r_flat.max_err r_ref.max_err);
-              check (name ^ ": tau bits") true (same_bits r_flat.tau r_ref.tau);
-              check (name ^ ": synopsis") true (r_flat.synopsis = r_ref.synopsis);
-              checki (name ^ ": dp_states") r_ref.dp_states r_flat.dp_states;
-              checki (name ^ ": sweeps") r_ref.sweeps r_flat.sweeps)
+              check_abs_pair
+                (Printf.sprintf "approx_abs n=%d domains=%d" n domains)
+                (run Md_dp.Flat) (run Md_dp.Reference))
             [ 16; 32 ]))
     [ 1; 4 ]
 
-let test_approx_abs_2d_flat_vs_reference () =
+(* Multi-dimensional shapes: the build benchmark's 16x16 zipf grid (B=8,
+   epsilon 0.25), an 8x8 grid at budgets 0, 1, its cap (every cell) and
+   past it, and a 2x2x2 cube. *)
+let build_grid seed =
+  Wavesyn_datagen.Signal.grid_zipf ~rng:(Prng.create ~seed) ~side:16 ~alpha:1.2
+    ~scale:100.
+
+let grid_8x8 =
+  let rng = Prng.create ~seed:89 in
+  Ndarray.of_flat_array ~dims:[| 8; 8 |]
+    (Array.init 64 (fun _ -> Float.round (Prng.float rng 50.)))
+
+let cube_2x2x2 =
+  let rng = Prng.create ~seed:97 in
+  Ndarray.of_flat_array ~dims:[| 2; 2; 2 |]
+    (Array.init 8 (fun _ -> Prng.float rng 20.))
+
+let test_approx_abs_md_flat_vs_reference () =
   let rng = Prng.create ~seed:59 in
-  let nd =
+  let random_8x8 =
     Ndarray.of_flat_array ~dims:[| 8; 8 |]
       (Array.init 64 (fun _ -> Prng.float rng 100.))
   in
-  let run impl = Approx_abs.solve ~impl ~data:nd ~budget:10 ~epsilon:0.4 () in
-  let r_ref = run Md_dp.Reference in
-  let r_flat = run Md_dp.Flat in
-  check "2d: max_err bits" true (same_bits r_flat.max_err r_ref.max_err);
-  check "2d: synopsis" true (r_flat.synopsis = r_ref.synopsis);
-  checki "2d: dp_states" r_ref.dp_states r_flat.dp_states
+  List.iter
+    (fun (name, data, budget, epsilon) ->
+      let run impl = Approx_abs.solve ~impl ~data ~budget ~epsilon () in
+      check_abs_pair name (run Md_dp.Flat) (run Md_dp.Reference))
+    ([ ("2d", random_8x8, 10, 0.4) ]
+    @ List.map
+        (fun b -> (Printf.sprintf "8x8 b=%d" b, grid_8x8, b, 0.5))
+        [ 0; 1; 64; 70 ]
+    @ List.map
+        (fun b -> (Printf.sprintf "2x2x2 b=%d" b, cube_2x2x2, b, 0.3))
+        [ 0; 2; 5; 8 ])
 
 let test_approx_additive_flat_vs_reference () =
   let rng = Prng.create ~seed:61 in
@@ -292,9 +322,169 @@ let test_approx_additive_flat_vs_reference () =
           check (name ^ ": measured bits") true (same_bits err_flat err_ref);
           check (name ^ ": synopsis") true (syn_flat = syn_ref))
         [ 16; 32 ])
-    [ Metrics.Abs; Metrics.Rel { sanity = 3. } ]
+    [ Metrics.Abs; Metrics.Rel { sanity = 3. } ];
+  let build = build_grid 83 and rel = Metrics.Rel { sanity = 1. } in
+  List.iter
+    (fun (name, data, budget, epsilon, metric) ->
+      let run impl = Approx_additive.solve ~impl ~data ~budget ~epsilon metric in
+      check_additive_pair name (run Md_dp.Flat) (run Md_dp.Reference))
+    ([
+       ("16x16 abs", build, 8, 0.25, Metrics.Abs);
+       ("16x16 rel", build, 8, 0.25, rel);
+     ]
+    @ List.map
+        (fun b -> (Printf.sprintf "8x8 b=%d" b, grid_8x8, b, 0.25, Metrics.Abs))
+        [ 0; 1; 64; 70 ]
+    @ List.map
+        (fun b -> (Printf.sprintf "2x2x2 b=%d" b, cube_2x2x2, b, 0.2, rel))
+        [ 0; 2; 5; 8 ])
 
-(* A shared prebuilt skeleton must not change anything. *)
+(* Pseudo_poly's integer configuration — integral data scaled by the
+   cell count, exact errors — run through Md_dp.run under each kernel. *)
+let pseudo_poly_config ~tree ~scale metric =
+  let data = Wavesyn_haar.Md_tree.data tree in
+  let wavelet = Wavesyn_haar.Md_tree.wavelet tree in
+  {
+    Md_dp.coeff_value =
+      (fun pos -> Float.round (Ndarray.get_flat wavelet pos *. scale));
+    rounding = Md_dp.Exact;
+    forced = (fun _ -> false);
+    leaf_denominator = (fun cell -> Metrics.denominator metric (Ndarray.get data cell));
+  }
+
+let test_pseudo_poly_config () =
+  let rng = Prng.create ~seed:101 in
+  List.iter
+    (fun dims ->
+      let size = Array.fold_left ( * ) 1 dims in
+      let data =
+        Ndarray.of_flat_array ~dims
+          (Array.init size (fun _ -> float_of_int (Prng.int rng 40)))
+      in
+      let tree = Wavesyn_haar.Md_tree.of_data data in
+      List.iter
+        (fun metric ->
+          let cfg = pseudo_poly_config ~tree ~scale:(float_of_int size) metric in
+          List.iter
+            (fun budget ->
+              let name =
+                Printf.sprintf "pseudo-poly %dd size=%d b=%d" (Array.length dims)
+                  size budget
+              in
+              match
+                ( Md_dp.run ~impl:Md_dp.Flat ~tree ~budget cfg,
+                  Md_dp.run ~impl:Md_dp.Reference ~tree ~budget cfg )
+              with
+              | Some a, Some b ->
+                  check (name ^ ": value bits") true (same_bits a.value b.value);
+                  check (name ^ ": retained") true (a.retained = b.retained);
+                  checki (name ^ ": dp_states") b.dp_states a.dp_states
+              | _ -> Alcotest.fail (name ^ ": unexpected infeasible"))
+            [ 0; 1; 3; size ])
+        [ Metrics.Abs; Metrics.Rel { sanity = 2. } ])
+    [ [| 16 |]; [| 4; 4 |]; [| 2; 2; 2 |] ]
+
+(* The [on_state] contract for Md_dp, as for Minmax_dp above: one call
+   per fresh state under both kernels, and a state-capped deadline
+   aborts after exactly cap + 1 checks. Approx_abs takes no hook, so its
+   truncated configuration (forced large coefficients, exact integral
+   errors) runs through Md_dp.run directly. *)
+let md_kernels = [ ("flat", Md_dp.Flat); ("reference", Md_dp.Reference) ]
+
+let approx_abs_config ~tree ~tau ~k_tau =
+  let wavelet = Wavesyn_haar.Md_tree.wavelet tree in
+  {
+    Md_dp.coeff_value =
+      (fun pos -> Float.floor (Ndarray.get_flat wavelet pos /. k_tau));
+    rounding = Md_dp.Exact;
+    forced = (fun pos -> Float.abs (Ndarray.get_flat wavelet pos) > tau);
+    leaf_denominator = (fun _ -> 1.);
+  }
+
+let test_md_on_state_counts () =
+  let data = build_grid 103 in
+  let tree = Wavesyn_haar.Md_tree.of_data data in
+  List.iter
+    (fun (name, impl) ->
+      List.iter
+        (fun metric ->
+          let calls = ref 0 in
+          let r =
+            Approx_additive.solve ~impl
+              ~on_state:(fun () -> incr calls)
+              ~data ~budget:8 ~epsilon:0.25 metric
+          in
+          checki (name ^ " additive: hook calls = dp_states") r.dp_states !calls)
+        [ Metrics.Abs; Metrics.Rel { sanity = 1. } ];
+      List.iter
+        (fun (tau, k_tau) ->
+          let calls = ref 0 in
+          match
+            Md_dp.run ~impl
+              ~on_state:(fun () -> incr calls)
+              ~tree ~budget:8
+              (approx_abs_config ~tree ~tau ~k_tau)
+          with
+          | Some r ->
+              checki (name ^ " abs config: hook calls = dp_states") r.dp_states
+                !calls
+          | None -> Alcotest.fail (name ^ ": unexpected infeasible"))
+        [ (512., 8.); (1024., 32.); (4096., 64.) ])
+    md_kernels
+
+let test_md_deadline_parity () =
+  let data = build_grid 107 in
+  let solve ?on_state impl =
+    Approx_additive.solve ?on_state ~impl ~data ~budget:8 ~epsilon:0.25
+      (Metrics.Rel { sanity = 1. })
+  in
+  let full = solve Md_dp.Reference in
+  List.iter
+    (fun cap ->
+      List.iter
+        (fun (name, impl) ->
+          let d = Deadline.create ~state_cap:cap () in
+          match solve ~on_state:(fun () -> Deadline.tick d) impl with
+          | _ -> Alcotest.failf "%s: state_cap %d did not abort" name cap
+          | exception Deadline.Deadline_exceeded st ->
+              checki
+                (Printf.sprintf "%s state_cap %d: checks" name cap)
+                (cap + 1) st.Deadline.checks)
+        md_kernels)
+    [ 0; 1; 17; full.dp_states / 2; full.dp_states - 1 ]
+
+(* Allocation regression: the flat kernel allocates nothing per state,
+   so the minor words of the build benchmark's Md_dp solves (approx-abs
+   and approx-additive on the 16x16 grid, B=8) spread over their fresh
+   states are what remains per solve: set-up, the tau sweep's synopsis
+   measurements, the outcome. On this input approx-abs measured 1.33
+   words/state and approx-additive 3.75; the bounds are twice that. The
+   closure-based kernel this one replaced allocated 278 and 472. *)
+let md_words_per_state solve =
+  ignore (solve ());
+  let w0 = Gc.minor_words () in
+  let states = solve () in
+  (Gc.minor_words () -. w0) /. float_of_int states
+
+let test_md_allocation () =
+  let data = build_grid 7 in
+  let abs =
+    md_words_per_state (fun () ->
+        (Approx_abs.solve ~data ~budget:8 ~epsilon:0.25 ()).dp_states)
+  in
+  let additive =
+    md_words_per_state (fun () ->
+        (Approx_additive.solve ~data ~budget:8 ~epsilon:0.25
+           (Metrics.Rel { sanity = 1. }))
+          .dp_states)
+  in
+  check (Printf.sprintf "approx-abs: %.3f words/state <= 2.66" abs) true
+    (abs <= 2.66);
+  check (Printf.sprintf "approx-additive: %.3f words/state <= 7.50" additive)
+    true (additive <= 7.50)
+
+(* A shared prebuilt skeleton must not change anything, under either
+   rounding. *)
 let test_md_dp_shared_skeleton () =
   let rng = Prng.create ~seed:67 in
   let data = signal rng 32 in
@@ -302,26 +492,40 @@ let test_md_dp_shared_skeleton () =
   let tree = Wavesyn_haar.Md_tree.of_data nd in
   let sk = Md_dp.skeleton ~tree in
   let wavelet = Wavesyn_haar.Md_tree.wavelet tree in
-  let cfg =
-    {
-      Md_dp.coeff_value = (fun pos -> Ndarray.get_flat wavelet pos);
-      round_error = Fun.id;
-      key_of_error = (fun e -> Hashtbl.hash (Int64.bits_of_float e));
-      forced = (fun _ -> false);
-      leaf_denominator = (fun _ -> 1.);
-    }
+  let configs =
+    [
+      ( "exact",
+        {
+          Md_dp.coeff_value =
+            (fun pos -> Float.round (Ndarray.get_flat wavelet pos *. 8.));
+          rounding = Md_dp.Exact;
+          forced = (fun _ -> false);
+          leaf_denominator = (fun _ -> 1.);
+        } );
+      ( "breakpoints",
+        {
+          Md_dp.coeff_value = (fun pos -> Ndarray.get_flat wavelet pos);
+          rounding = Md_dp.Breakpoints { epsilon = 0.1; vmin = 0.01; vmax = 1000. };
+          forced = (fun _ -> false);
+          leaf_denominator = (fun _ -> 1.);
+        } );
+    ]
   in
   List.iter
-    (fun budget ->
-      let with_sk = Md_dp.run ~skeleton:sk ~tree ~budget cfg in
-      let without = Md_dp.run ~tree ~budget cfg in
-      match (with_sk, without) with
-      | Some a, Some b ->
-          check "skeleton: value bits" true (same_bits a.value b.value);
-          check "skeleton: retained" true (a.retained = b.retained);
-          checki "skeleton: dp_states" b.dp_states a.dp_states
-      | _ -> Alcotest.fail "unexpected infeasible")
-    [ 0; 3; 8 ]
+    (fun (name, cfg) ->
+      List.iter
+        (fun budget ->
+          let with_sk = Md_dp.run ~skeleton:sk ~tree ~budget cfg in
+          let without = Md_dp.run ~tree ~budget cfg in
+          match (with_sk, without) with
+          | Some a, Some b ->
+              check (name ^ " skeleton: value bits") true
+                (same_bits a.value b.value);
+              check (name ^ " skeleton: retained") true (a.retained = b.retained);
+              checki (name ^ " skeleton: dp_states") b.dp_states a.dp_states
+          | _ -> Alcotest.fail "unexpected infeasible")
+        [ 0; 3; 8 ])
+    configs
 
 (* --- grain --- *)
 
@@ -385,12 +589,20 @@ let () =
         [
           Alcotest.test_case "approx-abs flat = reference, pooled" `Quick
             test_approx_abs_flat_vs_reference;
-          Alcotest.test_case "approx-abs 2d flat = reference" `Quick
-            test_approx_abs_2d_flat_vs_reference;
+          Alcotest.test_case "approx-abs multi-d flat = reference" `Quick
+            test_approx_abs_md_flat_vs_reference;
           Alcotest.test_case "approx-additive flat = reference" `Quick
             test_approx_additive_flat_vs_reference;
           Alcotest.test_case "shared skeleton is inert" `Quick
             test_md_dp_shared_skeleton;
+          Alcotest.test_case "pseudo-poly config flat = reference" `Quick
+            test_pseudo_poly_config;
+          Alcotest.test_case "on_state count = dp_states" `Quick
+            test_md_on_state_counts;
+          Alcotest.test_case "state-capped deadline parity" `Quick
+            test_md_deadline_parity;
+          Alcotest.test_case "no allocation per state" `Quick
+            test_md_allocation;
         ] );
       ( "grain",
         [
